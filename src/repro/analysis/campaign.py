@@ -47,8 +47,8 @@ class GroupStats:
     wall_mean: float = 0.0
     #: Aggregate simulator throughput: summed payload ``events`` over
     #: summed wall seconds (0.0 when either is unavailable) — the column
-    #: that makes sequential-vs-parallel engine campaigns directly
-    #: comparable from the aggregate table.
+    #: that makes simulator throughput comparable across campaign groups
+    #: (e.g. allocators) from the aggregate table.
     events_per_s: float = 0.0
     #: Paper-reported counterpart of the headline metric, when the
     #: cells carry one (a ``paper_<metric>`` payload field — the

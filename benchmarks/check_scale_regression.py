@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Gate: fail when benchmark throughput regresses vs a checked-in baseline.
 
-A shared helper for the simulator-throughput and live-gateway benchmarks:
+A shared helper for the simulator-throughput, layer and live-gateway
+benchmarks:
 
 - ``--kind scale`` (default) compares ``BENCH_scale.json`` (from
   ``benchmarks/test_scale.py``) against
@@ -9,6 +10,12 @@ A shared helper for the simulator-throughput and live-gateway benchmarks:
   incremental allocator's events/sec must stay within ``--tolerance`` of
   baseline, and so must the machine-independent incremental/full speedup
   ratio.
+- ``--kind layers`` compares ``BENCH_layers.json`` (from
+  ``benchmarks/test_layers.py``) against
+  ``benchmarks/BENCH_layers_baseline.json``: per common (layer, name,
+  shape, size) point, solves/s must stay within ``--tolerance`` of
+  baseline, and so must each shape's machine-independent large/middle
+  size flows/s ratio (a drop means a solve stopped being linear).
 - ``--kind gateway`` compares ``BENCH_gateway.json`` (from
   ``benchmarks/test_gateway.py`` or ``repro loadgen``) against
   ``benchmarks/BENCH_gateway_baseline.json``: the live scheduler-RPC p99
@@ -20,10 +27,11 @@ A shared helper for the simulator-throughput and live-gateway benchmarks:
 Absolute events/sec varies across machines; regenerate a baseline on the
 reference runner with e.g. ``python benchmarks/test_scale.py && cp
 BENCH_scale.json benchmarks/BENCH_scale_baseline.json`` when an
-intentional change shifts the numbers.
+intentional change shifts the numbers (likewise ``test_layers.py`` and
+``BENCH_layers.json`` for the layer baseline).
 
-Usage: python benchmarks/check_scale_regression.py [--kind scale|gateway]
-       [result] [baseline]
+Usage: python benchmarks/check_scale_regression.py
+       [--kind scale|layers|gateway] [result] [baseline]
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ _HERE = os.path.dirname(__file__)
 DEFAULTS = {
     "scale": ("BENCH_scale.json",
               os.path.join(_HERE, "BENCH_scale_baseline.json")),
+    "layers": ("BENCH_layers.json",
+               os.path.join(_HERE, "BENCH_layers_baseline.json")),
     "gateway": ("BENCH_gateway.json",
                 os.path.join(_HERE, "BENCH_gateway_baseline.json")),
 }
@@ -73,6 +83,44 @@ def check(result: dict, baseline: dict, tolerance: float) -> list[str]:
                 f"n={n}: incremental/full speedup {got_ratio:.2f}x is "
                 f"{100 * (1 - got_ratio / want_ratio):.0f}% below "
                 f"baseline {want_ratio:.2f}x")
+    return failures
+
+
+def _layer_points(report: dict) -> dict[tuple, dict]:
+    return {(p["layer"], p["name"], p["shape"], p["n_flows"]): p
+            for p in report.get("points", [])}
+
+
+def _layer_scaling(report: dict) -> dict[tuple, dict]:
+    return {(e["layer"], e["name"], e["shape"]): e
+            for e in report.get("scaling", [])}
+
+
+def check_layers(result: dict, baseline: dict,
+                 tolerance: float) -> list[str]:
+    """Layers-kind findings: per-point solves/s + per-shape scaling ratio."""
+    failures = []
+    fresh, base = _layer_points(result), _layer_points(baseline)
+    common = sorted(set(fresh) & set(base))
+    if not common:
+        return ["no common layer points between result and baseline"]
+    for key in common:
+        got = fresh[key]["solves_per_s"]
+        want = base[key]["solves_per_s"]
+        if _below(got, want, tolerance):
+            failures.append(
+                f"{'.'.join(map(str, key))}: {got:.1f} solves/s is "
+                f"{100 * (1 - got / want):.0f}% below baseline {want:.1f}")
+    fresh_scaling, base_scaling = _layer_scaling(result), _layer_scaling(
+        baseline)
+    for key in sorted(set(fresh_scaling) & set(base_scaling)):
+        got = fresh_scaling[key]["flows_per_s_ratio"]
+        want = base_scaling[key]["flows_per_s_ratio"]
+        if _below(got, want, tolerance):
+            failures.append(
+                f"{'.'.join(key)}: flows/s ratio {got:.2f} between sizes "
+                f"{fresh_scaling[key]['sizes']} is "
+                f"{100 * (1 - got / want):.0f}% below baseline {want:.2f}")
     return failures
 
 
@@ -112,7 +160,8 @@ def check_gateway(result: dict, baseline: dict,
 
 
 #: Kind -> checker function.
-CHECKERS = {"scale": check, "gateway": check_gateway}
+CHECKERS = {"scale": check, "layers": check_layers,
+            "gateway": check_gateway}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -143,6 +192,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{baseline['budget']['p99_ms']:.0f}ms budget, "
               f"{result['n_clients']} clients, zero lost/duplicated "
               f"results, oracle-equivalent output")
+    elif args.kind == "layers":
+        common = set(_layer_points(result)) & set(_layer_points(baseline))
+        print(f"layers benchmark within {args.tolerance:.0%} of baseline "
+              f"at {len(common)} points")
     else:
         print(f"{args.kind} benchmark within {args.tolerance:.0%} of "
               f"baseline at sizes "

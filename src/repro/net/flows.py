@@ -5,7 +5,10 @@ byte count.  All active flows share the directional capacity of the links
 they traverse (a flow from A to B uses A's uplink and B's downlink, plus any
 extra shared links such as a project data-server trunk).  Rates are the
 classic max–min fair allocation computed by progressive filling, with
-optional per-flow rate caps (to model TCP throughput ceilings).
+optional per-flow rate caps (to model TCP throughput ceilings).  A filling
+round costs O(live links + newly frozen flows), so one solve over F flows
+and L links costs O(F + rounds·L), where rounds is the number of distinct
+freeze levels; the result is bit-identical to the plain per-flow version.
 
 Whenever the flow set changes, progress is advanced, rates are recomputed,
 and the earliest completion is scheduled.  Stale completion timers are
@@ -21,8 +24,8 @@ Rate allocation is a pluggable strategy (the ``allocator=`` parameter of
 :class:`FlowNetwork`):
 
 - ``"full"`` — the original global algorithm: every flow change reallocates
-  every active flow, O(F·L) per event.  Simple, and the reference the
-  incremental allocator is property-tested against.
+  every active flow, one solve over all of them per event.  Simple, and
+  the reference the incremental allocator is property-tested against.
 - ``"incremental"`` (default) — partitions the active flows into
   link-connected components and reallocates only the component touched by a
   change.  Untouched components keep their cached rates and completion
@@ -141,58 +144,90 @@ def _by_seq(flow: Flow) -> int:
     return flow.seq
 
 
+def _max_rate(flow: Flow) -> float:
+    return flow.max_rate
+
+
 def maxmin_rates(flows: _t.Sequence[Flow]) -> dict[Flow, float]:
     """Max–min fair rates for *flows* via progressive filling.
 
     Respects per-flow ``max_rate`` caps.  Links are discovered from the
-    flows themselves.  Returns rates in bytes/s.
+    flows themselves.  Returns rates in bytes/s, keyed in input order.
+
+    Each round raises every unfrozen flow by the same increment until a
+    link saturates or a cap binds, then freezes the flows that hit it.
+    Three facts keep a round at O(live links + newly frozen flows) while
+    reproducing the naive per-flow, per-link arithmetic bit for bit:
+
+    - every unfrozen flow starts at ``0.0`` and gains the same increments,
+      so one running ``level`` *is* each unfrozen flow's rate;
+    - a link→member-flows index means a saturated link freezes its own
+      flows without scanning the rest;
+    - float subtraction rounds monotonically, so the smallest unfrozen
+      cap gives ``min(cap - level)`` exactly; caps are visited in
+      ascending order, and the ones that bind in a round are a prefix.
+
+    Links whose flows are all frozen drop out of the live set: their
+    per-round headroom update would subtract ``increment * 0``.
     """
     if not flows:
         return {}
-    rate: dict[Flow, float] = {f: 0.0 for f in flows}
-    unfrozen: set[Flow] = set(flows)
-    headroom: dict[Link, float] = {}
-    active: dict[Link, int] = {}
+    members: dict[Link, list[Flow]] = {}
     for f in flows:
         for link in f.links:
-            headroom.setdefault(link, link.capacity)
-            active[link] = active.get(link, 0) + 1
+            on_link = members.get(link)
+            if on_link is None:
+                members[link] = [f]
+            else:
+                on_link.append(f)
+    # Unfrozen flows per link; a link is live while its count is > 0.
+    count = {link: len(on_link) for link, on_link in members.items()}
+    headroom = {link: link.capacity for link in members}
+    live = list(members)
+    capped = [f for f in flows if f.max_rate is not None]
+    capped.sort(key=_max_rate)
+    next_cap = 0
+    frozen: dict[Flow, float] = {}
+    level = 0.0
 
     # Progressive filling: raise all unfrozen flows' rates in lockstep until
-    # a link saturates or a flow hits its cap; freeze and repeat.
-    for _ in range(2 * len(flows) + 2):  # each round freezes >= 1 flow
-        if not unfrozen:
-            break
-        increment = math.inf
-        for link, count in active.items():
-            if count > 0:
-                increment = min(increment, headroom[link] / count)
-        for f in unfrozen:
-            if f.max_rate is not None:
-                increment = min(increment, f.max_rate - rate[f])
+    # a link saturates or a flow hits its cap; freeze and repeat.  Every
+    # unfrozen flow keeps its links live, so an empty live set means every
+    # flow is frozen.
+    while live:
+        increment = min([headroom[link] / count[link] for link in live])
+        while next_cap < len(capped) and capped[next_cap] in frozen:
+            next_cap += 1
+        if next_cap < len(capped):
+            increment = min(increment, capped[next_cap].max_rate - level)
         if increment < 0:
             increment = 0.0
+        level += increment
         newly_frozen: list[Flow] = []
-        for f in unfrozen:
-            rate[f] += increment
-            if f.max_rate is not None and rate[f] >= f.max_rate * (1 - 1e-9):
+        while next_cap < len(capped):
+            f = capped[next_cap]
+            if f not in frozen:
+                if level < f.max_rate * (1 - 1e-9):
+                    break
+                frozen[f] = level
                 newly_frozen.append(f)
-        for link in active:
-            headroom[link] -= increment * active[link]
-        for link, room in headroom.items():
-            if room <= link.capacity * 1e-9 and active[link] > 0:
-                for f in list(unfrozen):
-                    if link in f.links and f not in newly_frozen:
+            next_cap += 1
+        for link in live:
+            room = headroom[link] - increment * count[link]
+            headroom[link] = room
+            if room <= link.capacity * 1e-9:
+                for f in members[link]:
+                    if f not in frozen:
+                        frozen[f] = level
                         newly_frozen.append(f)
         if not newly_frozen:
             # Nothing binding (all caps/links satisfied) — allocation final.
             break
         for f in newly_frozen:
-            if f in unfrozen:
-                unfrozen.remove(f)
-                for link in f.links:
-                    active[link] -= 1
-    return rate
+            for link in f.links:
+                count[link] -= 1
+        live = [link for link in live if count[link]]
+    return {f: frozen.get(f, level) for f in flows}
 
 
 def _fill_background(foreground: list[Flow], background: list[Flow]) -> None:
@@ -281,9 +316,10 @@ class RateAllocator(_t.Protocol):
 class FullAllocator:
     """The original global strategy: every change reallocates every flow.
 
-    O(F·L) per flow event, but numerically bit-identical to the historical
-    single-``_recompute`` implementation — the reference baseline the
-    incremental allocator is property-tested against.
+    One solve over every active flow per flow event, numerically
+    bit-identical to the historical single-``_recompute`` implementation
+    — the reference baseline the incremental allocator is property-tested
+    against.
     """
 
     name = "full"
@@ -403,8 +439,13 @@ class _Component:
 def _link_components(flows: list[Flow],
                      adj: _t.Mapping[Link, _t.Iterable[Flow]],
                      ) -> list[list[Flow]]:
-    """Partition *flows* into link-connected groups, each in start order."""
+    """Partition *flows* into link-connected groups, each in start order.
+
+    Each link's member list is walked once (``seen_links``), so the walk
+    is O(flows + links) even when hundreds of flows share one link.
+    """
     seen: set[Flow] = set()
+    seen_links: set[Link] = set()
     groups: list[list[Flow]] = []
     for f in flows:
         if f in seen:
@@ -415,6 +456,9 @@ def _link_components(flows: list[Flow],
         while stack:
             cur = stack.pop()
             for link in cur.links:
+                if link in seen_links:
+                    continue
+                seen_links.add(link)
                 for other in adj[link]:
                     if other not in seen:
                         seen.add(other)

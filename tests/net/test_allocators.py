@@ -9,6 +9,8 @@ against a brute-force recount.
 """
 
 import math
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.net import (
     ALLOCATORS,
+    Flow,
     FlowNetwork,
     FullAllocator,
     IncrementalAllocator,
@@ -23,6 +26,7 @@ from repro.net import (
     RateAllocator,
     maxmin_rates,
 )
+from repro.net import flows as flows_mod
 from repro.sim import Simulator
 
 
@@ -228,3 +232,177 @@ def test_recompute_refreshes_rates_after_capacity_change():
     net.recompute()
     assert flow.rate == pytest.approx(5e5)
     assert net.utilisation(link) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact oracle: maxmin_rates == plain per-flow progressive filling
+# ---------------------------------------------------------------------------
+
+def _reference_maxmin(flows):
+    """Plain progressive filling: every flow, every link, every round.
+
+    The straightforward implementation :func:`maxmin_rates` replaced, kept
+    verbatim as the oracle.  Its per-flow ``rate[f] += increment`` sums and
+    per-link headroom updates define the exact floats the indexed version
+    must reproduce (the golden traces depend on them to the last ulp).
+    """
+    if not flows:
+        return {}
+    rate = {f: 0.0 for f in flows}
+    unfrozen = set(flows)
+    headroom = {}
+    active = {}
+    for f in flows:
+        for link in f.links:
+            headroom.setdefault(link, link.capacity)
+            active[link] = active.get(link, 0) + 1
+
+    for _ in range(2 * len(flows) + 2):  # each round freezes >= 1 flow
+        if not unfrozen:
+            break
+        increment = math.inf
+        for link, count in active.items():
+            if count > 0:
+                increment = min(increment, headroom[link] / count)
+        for f in unfrozen:
+            if f.max_rate is not None:
+                increment = min(increment, f.max_rate - rate[f])
+        if increment < 0:
+            increment = 0.0
+        newly_frozen = []
+        for f in unfrozen:
+            rate[f] += increment
+            if f.max_rate is not None and rate[f] >= f.max_rate * (1 - 1e-9):
+                newly_frozen.append(f)
+        for link in active:
+            headroom[link] -= increment * active[link]
+        for link, room in headroom.items():
+            if room <= link.capacity * 1e-9 and active[link] > 0:
+                for f in list(unfrozen):
+                    if link in f.links and f not in newly_frozen:
+                        newly_frozen.append(f)
+        if not newly_frozen:
+            break
+        for f in newly_frozen:
+            if f in unfrozen:
+                unfrozen.remove(f)
+                for link in f.links:
+                    active[link] -= 1
+    return rate
+
+
+def _assert_bit_identical(flows):
+    got, want = maxmin_rates(flows), _reference_maxmin(flows)
+    assert list(got) == list(flows)
+    for f in flows:
+        assert got[f] == want[f], (f.name, got[f], want[f])
+
+
+def _flow(sim, name, links, max_rate=None, background=False):
+    return Flow(sim, name, links, 1e6, max_rate, background)
+
+
+#: A cap is None, an arbitrary float, or exactly a link's fair share
+#: (``capacity / k``) so caps and link saturation tie in the same round.
+cap_spec = st.one_of(
+    st.none(),
+    st.floats(min_value=1.0, max_value=1e5),
+    st.tuples(st.integers(min_value=0, max_value=4),
+              st.integers(min_value=1, max_value=6)),
+)
+
+oracle_script = st.tuples(
+    st.lists(st.one_of(st.sampled_from([100.0, 300.0, 1000.0, 1e4]),
+                       st.floats(min_value=10.0, max_value=1e6)),
+             min_size=5, max_size=5),                        # capacities B/s
+    st.lists(st.tuples(
+        st.lists(st.integers(min_value=0, max_value=4), min_size=1,
+                 max_size=3, unique=True),                   # link indices
+        cap_spec,
+        st.booleans(),                                       # background
+    ), min_size=1, max_size=24),
+)
+
+
+def _oracle_flows(script):
+    caps, specs = script
+    sim = Simulator()
+    links = [Link(f"l{i}", cap * 8.0) for i, cap in enumerate(caps)]
+    flows = []
+    for i, (linkidx, cap, background) in enumerate(specs):
+        if isinstance(cap, tuple):
+            cap = links[cap[0]].capacity / cap[1]
+        flows.append(_flow(sim, f"f{i}", [links[j] for j in linkidx],
+                           max_rate=cap, background=background))
+    return flows
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_script)
+def test_maxmin_bit_identical_to_reference(script):
+    """Indexed filling reproduces plain progressive filling exactly."""
+    _assert_bit_identical(_oracle_flows(script))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_script)
+def test_allocate_rates_bit_identical_with_background(script):
+    """Both passes of ``allocate_rates`` (foreground, then Nice-style
+    background over the residual) match the reference exactly."""
+    flows = _oracle_flows(script)
+    with mock.patch.object(flows_mod, "maxmin_rates", _reference_maxmin):
+        flows_mod.allocate_rates(flows)
+    want = [f.rate for f in flows]
+    for f in flows:
+        f.rate = -1.0
+    flows_mod.allocate_rates(flows)
+    assert [f.rate for f in flows] == want
+
+
+class TestMaxminOracleCases:
+    def test_cap_equal_to_fair_share_binds_with_link(self):
+        """A cap at the link's fair share binds in the round the link
+        saturates; both freeze every flow at the same level."""
+        sim = Simulator()
+        link = Link("l", 300 * 8.0)
+        flows = [_flow(sim, "capped", [link], max_rate=100.0),
+                 _flow(sim, "a", [link]), _flow(sim, "b", [link])]
+        _assert_bit_identical(flows)
+        assert [maxmin_rates(flows)[f] for f in flows] == [100.0] * 3
+
+    def test_cap_binds_before_link(self):
+        sim = Simulator()
+        link = Link("l", 1000 * 8.0)
+        flows = [_flow(sim, "capped", [link], max_rate=100.0),
+                 _flow(sim, "a", [link]), _flow(sim, "b", [link])]
+        _assert_bit_identical(flows)
+        rates = maxmin_rates(flows)
+        assert rates[flows[0]] == 100.0
+        assert rates[flows[1]] == rates[flows[2]] == pytest.approx(450.0)
+
+    def test_cap_and_other_link_saturate_in_same_round(self):
+        """One link saturates in the round a cap on a disjoint flow binds."""
+        sim = Simulator()
+        narrow, wide = Link("narrow", 200 * 8.0), Link("wide", 1e4 * 8.0)
+        flows = [_flow(sim, "n1", [narrow]), _flow(sim, "n2", [narrow]),
+                 _flow(sim, "capped", [wide], max_rate=100.0),
+                 _flow(sim, "w", [wide])]
+        _assert_bit_identical(flows)
+        rates = maxmin_rates(flows)
+        assert [rates[f] for f in flows[:3]] == [100.0] * 3
+        assert rates[flows[3]] == pytest.approx(9900.0)
+
+    def test_hub_of_400_flows(self):
+        """400 flows over one shared server link plus 100 access links of
+        mixed capacity: several rounds, each freezing one access tier."""
+        rng = random.Random(13)
+        sim = Simulator()
+        hub = Link("server", 1e8)
+        access = [Link(f"adsl{i}", rng.choice([1e6, 2e6, 4e6, 8e6])
+                       * rng.uniform(0.5, 1.5)) for i in range(100)]
+        flows = [_flow(sim, f"f{i}", [access[i % 100], hub],
+                       max_rate=None if i % 7 else 1e4 * (1 + i % 3))
+                 for i in range(400)]
+        _assert_bit_identical(flows)
+        uncapped = [f for f in flows if f.max_rate is None]
+        _assert_bit_identical(uncapped)
